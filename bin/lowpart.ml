@@ -637,6 +637,10 @@ let serve_cmd =
   in
   let run verbose socket tcp workers queue timeout cache_dir no_persist =
     setup_logs verbose;
+    if workers < 1 then begin
+      Printf.eprintf "serve: --workers must be at least 1 (got %d)\n" workers;
+      exit 1
+    end;
     let config =
       {
         Lp_service.Server.socket_path = Some socket;
@@ -658,81 +662,6 @@ let serve_cmd =
     Term.(
       const run $ verbose_arg $ socket_arg $ tcp_arg $ workers_arg $ queue_arg
       $ timeout_arg $ cache_dir_arg $ no_persist_arg)
-
-let fleet_cmd =
-  let doc =
-    "Run the partitioning service as a sharded multi-process fleet: a \
-     router process owning the sockets plus one worker process per shard, \
-     requests routed by consistent-hashing the program fingerprint so \
-     repeat requests hit a hot in-memory cache. All shards share the \
-     persistent disk cache."
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "shards" ] ~docv:"N" ~doc:"Worker processes to spawn.")
-  in
-  let workers_arg =
-    Arg.(
-      value
-      & opt int Lp_core.Flow.default_jobs
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains per shard answering compute requests.")
-  in
-  let queue_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Per-shard bound on in-flight compute requests; past it the \
-             router answers a structured $(i,overloaded) error carrying \
-             $(i,retry_after_ms) and the chosen $(i,shard).")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 300.0
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-request compute deadline (0 disables it).")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt string ".lowpart-cache"
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:"Persistent candidate cache shared by all shards.")
-  in
-  let no_persist_arg =
-    Arg.(
-      value & flag
-      & info [ "no-persist" ]
-          ~doc:"Keep the candidate caches in memory only (per shard).")
-  in
-  let run verbose socket tcp shards workers queue timeout cache_dir
-      no_persist =
-    setup_logs verbose;
-    let config =
-      {
-        Lp_service.Fleet.socket_path = Some socket;
-        tcp_port = tcp;
-        shards;
-        workers;
-        queue_bound = queue;
-        timeout_s = timeout;
-        cache_dir = (if no_persist then None else Some cache_dir);
-        handle_signals = true;
-      }
-    in
-    match Lp_service.Fleet.serve config with
-    | () -> ()
-    | exception Unix.Unix_error (err, fn, arg) ->
-        Printf.eprintf "fleet: %s (%s %s)\n" (Unix.error_message err) fn arg;
-        exit 1
-  in
-  Cmd.v (Cmd.info "fleet" ~doc)
-    Term.(
-      const run $ verbose_arg $ socket_arg $ tcp_arg $ shards_arg
-      $ workers_arg $ queue_arg $ timeout_arg $ cache_dir_arg
-      $ no_persist_arg)
 
 let endpoint socket tcp =
   match tcp with
@@ -885,8 +814,8 @@ let client_cmd =
         Lp_service.Protocol.Stats;
       client_plain_cmd "metrics"
         "Scrape-ready metrics: outcomes, latency histogram with \
-         percentiles, queue high-water, per-stage totals (per shard plus \
-         merged totals under a fleet)."
+         percentiles, queue high-water, per-stage totals, memo hit \
+         rates."
         Lp_service.Protocol.Metrics;
       client_plain_cmd "shutdown" "Stop the daemon gracefully."
         Lp_service.Protocol.Shutdown;
@@ -906,12 +835,7 @@ let main_cmd =
       file_cmd;
       explore_cmd;
       serve_cmd;
-      fleet_cmd;
       client_cmd;
     ]
 
-let () =
-  (* Fleet workers are re-execs of this binary; this is a no-op in
-     every other invocation. *)
-  Lp_service.Fleet.maybe_exec_worker ();
-  exit (Cmd.eval main_cmd)
+let () = exit (Cmd.eval main_cmd)

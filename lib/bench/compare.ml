@@ -38,7 +38,6 @@ let metrics_of_doc doc =
       m "explore_warm_speedup" (path doc [ "explore"; "totals" ] "warm_speedup");
       m "explore_platform_gain"
         (path doc [ "explore"; "platform_sweep" ] "energy_gain");
-      m "fleet_reqs_per_s" (path doc [ "fleet" ] "reqs_per_s");
     ]
 
 type row = {

@@ -1,10 +1,6 @@
 (* Scrape-ready counters for the service: requests by outcome, a
    log-spaced latency histogram with summary percentiles, and the
-   admission-queue high-water mark. One [t] per engine (per worker
-   process in a fleet); the [merge_*] functions fold the per-shard
-   JSON payloads into fleet totals without losing the histogram —
-   bucket counts sum exactly, and the percentiles of the merged
-   distribution are recomputed from the summed counts. *)
+   admission-queue high-water mark. One [t] per daemon. *)
 
 module J = Lp_json
 
@@ -106,7 +102,11 @@ let queue_json t ~depth ~bound =
       ("bound", J.Int bound);
     ]
 
-let latency_counts_json counts ~max_ms ~total ~sum_ms =
+let latency_json t =
+  let counts, max_ms, total, sum_ms =
+    Mutex.protect t.m (fun () ->
+        (Array.copy t.buckets, t.max_ms, t.count, t.sum_ms))
+  in
   let p q = percentile_of_counts ~counts ~max_ms ~total q in
   J.Assoc
     [
@@ -121,69 +121,3 @@ let latency_counts_json counts ~max_ms ~total ~sum_ms =
       ("p95_ms", J.Float (p 0.95));
       ("p99_ms", J.Float (p 0.99));
     ]
-
-let latency_json t =
-  let counts, max_ms, total, sum_ms =
-    Mutex.protect t.m (fun () ->
-        (Array.copy t.buckets, t.max_ms, t.count, t.sum_ms))
-  in
-  latency_counts_json counts ~max_ms ~total ~sum_ms
-
-(* --- merging per-shard payloads ----------------------------------- *)
-
-(* Sum the numeric fields of JSON objects, keyed by name. The field
-   order of the first object wins (so a merged [stats] envelope keeps
-   the single-daemon field order); fields only later objects carry are
-   appended. Non-numeric fields are passed through from the first
-   object that has them. [max_keys] names fields folded with [max]
-   instead of [+] (e.g. [disk_entries], which every shard reports for
-   the same shared directory — summing would multiply-count it). *)
-let sum_objects ?(max_keys = []) parts =
-  let objs = List.filter_map J.to_assoc_opt parts in
-  let order = ref [] and seen = Hashtbl.create 16 in
-  List.iter
-    (List.iter (fun (k, _) ->
-         if not (Hashtbl.mem seen k) then begin
-           Hashtbl.replace seen k ();
-           order := k :: !order
-         end))
-    objs;
-  let field k =
-    let vals = List.filter_map (fun o -> List.assoc_opt k o) objs in
-    let nums = List.filter_map J.to_float_opt vals in
-    if List.length nums <> List.length vals || nums = [] then
-      (* not (all) numeric: first occurrence wins *)
-      match vals with v :: _ -> v | [] -> J.Null
-    else begin
-      let fold = if List.mem k max_keys then Float.max else ( +. ) in
-      let total = List.fold_left fold (List.hd nums) (List.tl nums) in
-      let all_ints =
-        List.for_all (fun v -> match v with J.Int _ -> true | _ -> false) vals
-      in
-      if all_ints then J.Int (int_of_float total) else J.Float total
-    end
-  in
-  (* [!order] is reversed insertion order, so rev_map restores it. *)
-  J.Assoc (List.rev_map (fun k -> (k, field k)) !order)
-
-(* Merge latency_ms payloads: sum bucket counts, take the max of the
-   maxima, recompute the percentiles of the union distribution. *)
-let merge_latency parts =
-  let counts = Array.make n_buckets 0 in
-  let total = ref 0 and sum_ms = ref 0.0 and max_ms = ref 0.0 in
-  List.iter
-    (fun p ->
-      (match J.member "counts" p with
-      | Some (J.List l) ->
-          List.iteri
-            (fun i v ->
-              if i < n_buckets then
-                counts.(i) <-
-                  counts.(i) + Option.value ~default:0 (J.to_int_opt v))
-            l
-      | _ -> ());
-      total := !total + Option.value ~default:0 (J.int_field p "count");
-      sum_ms := !sum_ms +. Option.value ~default:0.0 (J.float_field p "sum_ms");
-      max_ms := Float.max !max_ms (Option.value ~default:0.0 (J.float_field p "max_ms")))
-    parts;
-  latency_counts_json counts ~max_ms:!max_ms ~total:!total ~sum_ms:!sum_ms

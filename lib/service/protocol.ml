@@ -105,7 +105,7 @@ let platform_conflicts (o : run_options) overridden =
 (* Daemon-side default: requests are sequential inside ([jobs = 1]) —
    the pool's parallelism is spent across concurrent requests, and a
    request that wants an inner fan-out says so explicitly. An invalid
-   or conflicting [platform] surfaces as [Error] (the engine answers
+   or conflicting [platform] surfaces as [Error] (the daemon answers
    [bad_request]). *)
 let flow_options (o : run_options) =
   let d = { Flow.default_options with Flow.jobs = 1 } in

@@ -72,19 +72,15 @@
     [lowpart explore --json]; [list] an array of
     [{"name", "description"}]; [stats] server counters plus the memo
     tiers and cumulative per-stage flow times; [metrics] the
-    scrape-ready counters of {!Metrics} (per-shard payloads plus
-    merged totals under a fleet); [shutdown]
-    [{"stopping": true}]. Error codes: [parse], [bad_request],
-    [unknown_cmd], [unknown_app], [overloaded] (past the admission
-    bound; under a fleet the error object carries [retry_after_ms] and
-    [shard]), [timeout] (the
+    scrape-ready counters of {!Metrics}; [shutdown]
+    [{"stopping": true}]. Error codes: [parse] (malformed JSON, or a
+    request line past 1 MiB), [bad_request], [unknown_cmd],
+    [unknown_app], [overloaded] (past the admission bound; the error
+    object carries a [retry_after_ms] backoff hint), [timeout] (the
     deadline fired — the request was cancelled and its worker freed),
     [cancelled] (the flow was cancelled mid-run; the message names the
     active stage when known), [verification_failed] (the partitioned
-    design's outputs diverged from the reference), [shard_lost] (fleet
-    only: the worker process owning the request died mid-flight; the
-    router respawns the shard, so retrying is reasonable), [failed]. A
-    failing
+    design's outputs diverged from the reference), [failed]. A failing
     request always produces an [ok: false] envelope — never a dropped
     connection, never a dead daemon. *)
 
@@ -142,9 +138,7 @@ type request =
   | Stats
   | Metrics
       (** Scrape-ready counters: outcomes, latency histogram, queue
-          high-water, per-stage totals, memo hit rates. Answered by a
-          single daemon for itself; a fleet router broadcasts it and
-          answers the per-shard payloads plus merged totals. *)
+          high-water, per-stage totals, memo hit rates. *)
   | Shutdown
 
 val cmd_name : request -> string
@@ -199,9 +193,8 @@ val error_response_data :
   data:(string * Lp_json.t) list ->
   Lp_json.t
 (** {!error_response} with extra structured fields inside the [error]
-    object — the fleet's [overloaded] rejections carry
-    [retry_after_ms] (an EWMA-based backoff hint) and [shard] (the
-    chosen shard) this way; [shard_lost] carries [shard]. *)
+    object — [overloaded] rejections carry [retry_after_ms] (an
+    EWMA-based backoff hint) this way. *)
 
 val stage_event :
   id:Lp_json.t -> seq:int -> stage:string -> dt_s:float -> Lp_json.t
@@ -214,7 +207,8 @@ val stage_event :
     {e before} the final response, interleaved with other requests'
     lines on a shared connection (correlate by [id]). [s] is the
     stage's wall seconds, measured from the same clock samples as the
-    result's [stages] object — the two agree byte-for-byte. *)
+    result's [stages] object — for a stage that runs once the two agree
+    byte-for-byte ([verify] runs twice and streams two events). *)
 
 val is_event : Lp_json.t -> bool
 (** Whether a received line is a streamed event (carries ["event"],
@@ -226,7 +220,7 @@ type response = {
       (** [Ok payload] or [Error (code, message)] *)
   resp_error : Lp_json.t option;
       (** the raw [error] object of a failing response, for structured
-          fields beyond code/message ([retry_after_ms], [shard]) *)
+          fields beyond code/message ([retry_after_ms]) *)
 }
 
 val parse_response : Lp_json.t -> (response, string) result

@@ -26,11 +26,11 @@
     per-stage flow wall times (the ["stages"] object, one entry per
     {!Lp_core.Flow.all_stages} member).
 
-    Request semantics live in {!Engine} (shared with {!Fleet} worker
-    processes); this module owns only the sockets, the per-connection
-    reader threads and the shutdown flag. A [stream: true] run
-    interleaves {!Protocol.stage_event} lines on the connection before
-    the response; the multi-process sharded frontend is {!Fleet}. *)
+    A [stream: true] run interleaves {!Protocol.stage_event} lines on
+    the connection before the response. A request line that grows
+    past 1 MiB without a newline gets one [parse] envelope and its
+    connection is closed, so a client cannot grow the daemon's memory
+    without bound. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain listening socket *)

@@ -92,7 +92,7 @@ let memory_sink () =
 (* A routed sink demultiplexes by emitting domain: each domain may
    register a private handler, and events from domains with no handler
    are dropped. This is what lets one process-wide sink serve many
-   concurrent consumers — the service engine registers a handler on the
+   concurrent consumers — the service daemon registers a handler on the
    domain computing a streamed request, re-emits its stage spans to the
    client, and unregisters, without ever seeing another request's
    events. The handler table is tiny (one entry per in-flight streamed

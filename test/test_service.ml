@@ -1,8 +1,9 @@
 (* In-process exercise of the partitioning service: protocol errors,
    byte-identical run payloads, persistent-cache restart, corruption
    tolerance, and failure containment (mid-run disconnect, overload,
-   timeout). Runs a real [Lp_service.Server] on a temporary Unix
-   socket with signal handling off. *)
+   timeout, over-long lines), streamed stage events and the metrics
+   schema. Runs a real [Lp_service.Server] on a temporary Unix socket
+   with signal handling off. *)
 
 module J = Lp_json
 module Protocol = Lp_service.Protocol
@@ -197,6 +198,18 @@ let test_run_byte_identical () =
           Alcotest.(check int)
             "two runs counted" 2
             (stats_int stats "requests" "run")))
+
+(* A client-chosen string id must come back unchanged, and must not
+   disturb the payload bytes. *)
+let test_run_payload_string_id () =
+  let expected = Lazy.force expected_run_payload in
+  with_server (fun socket ->
+      with_client socket (fun c ->
+          let resp = Client.rpc c ~id:(J.String "r1") run_request in
+          Alcotest.(check string)
+            "id echoed" "\"r1\"" (J.to_string resp.Protocol.resp_id);
+          Alcotest.(check string)
+            "payload bytes" expected (payload_string resp)))
 
 let explore_options =
   {
@@ -458,6 +471,192 @@ let test_timeout_frees_worker () =
             (Printf.sprintf "worker freed (follow-up took %.2f s)" elapsed)
             true (elapsed < 10.0)))
 
+(* Streamed stage events: the id echoes the request, [seq] counts from
+   0, the stages arrive in execution order, and the per-stage sums (the
+   verify stage runs twice) agree byte-for-byte with the streamed
+   payload's own "stages" object. *)
+let test_streaming () =
+  with_server (fun socket ->
+      with_client socket (fun c ->
+          let events = ref [] in
+          let resp =
+            Client.rpc_stream c ~id:(J.Int 7)
+              ~on_event:(fun ev -> events := ev :: !events)
+              (Protocol.Run
+                 { app; options = Protocol.no_options; stream = true })
+          in
+          let events = List.rev !events in
+          if events = [] then Alcotest.fail "no streamed events";
+          List.iteri
+            (fun i ev ->
+              Alcotest.(check (option int))
+                "event id echoes the request id" (Some 7)
+                (J.int_field ev "id");
+              Alcotest.(check (option string))
+                "event kind" (Some "stage")
+                (J.string_field ev "event");
+              Alcotest.(check (option int)) "seq" (Some i) (J.int_field ev "seq"))
+            events;
+          (* The nine pipeline stages, with verify billing once after
+             each of the two system simulations (ten events total). *)
+          Alcotest.(check (list string))
+            "stage execution order"
+            [
+              "profile"; "cluster"; "preselect"; "simulate_initial";
+              "verify"; "candidates"; "select"; "cores";
+              "simulate_partitioned"; "verify";
+            ]
+            (List.map
+               (fun ev -> Option.get (J.string_field ev "stage"))
+               events);
+          (* Per-stage event sums (arrival order) must reproduce the
+             payload's stages object: same clock samples, same %.6g
+             printing. A stage streamed once matches byte-for-byte; the
+             twice-streamed verify stage sums two values that were each
+             rounded to six digits, so it may differ in the last one. *)
+          let stages =
+            match resp.Protocol.payload with
+            | Ok payload -> (
+                match J.member "stages" payload with
+                | Some (J.Assoc fields) -> fields
+                | _ -> Alcotest.fail "streamed run payload carries no stages")
+            | Error (code, msg) ->
+                Alcotest.failf "streamed run failed: %s: %s" code msg
+          in
+          let sums : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
+          List.iter
+            (fun ev ->
+              let stage = Option.get (J.string_field ev "stage") in
+              let s = Option.get (J.float_field ev "s") in
+              let n, prev =
+                Option.value (Hashtbl.find_opt sums stage) ~default:(0, 0.0)
+              in
+              Hashtbl.replace sums stage (n + 1, prev +. s))
+            events;
+          Alcotest.(check int)
+            "every stage streamed" (List.length stages)
+            (Hashtbl.length sums);
+          List.iter
+            (fun (stage, v) ->
+              let what = Printf.sprintf "stage %s seconds" stage in
+              match Hashtbl.find_opt sums stage with
+              | None -> Alcotest.failf "stage %s never streamed" stage
+              | Some (1, sum) ->
+                  Alcotest.(check string) what (J.to_string v)
+                    (J.to_string (J.Float sum))
+              | Some (_, sum) ->
+                  let v = Option.get (J.to_float_opt v) in
+                  if Float.abs (sum -. v) > 1e-5 *. Float.abs v then
+                    Alcotest.failf "%s: events sum to %g, payload %g" what
+                      sum v)
+            stages;
+          (* A non-streamed run on the same connection keeps the
+             stage-free payload contract. *)
+          match (Client.rpc c run_request).Protocol.payload with
+          | Ok v ->
+              Alcotest.(check bool)
+                "plain run carries no stages" true
+                (J.member "stages" v = None)
+          | Error (code, msg) ->
+              Alcotest.failf "plain run failed: %s: %s" code msg))
+
+(* Schema lock for the [lowpart-metrics/1] scrape surface. *)
+let test_metrics_schema () =
+  with_server (fun socket ->
+      with_client socket (fun c ->
+          ignore (payload_string (Client.rpc c run_request));
+          let v =
+            match (Client.rpc c Protocol.Metrics).Protocol.payload with
+            | Ok v -> v
+            | Error (code, msg) ->
+                Alcotest.failf "metrics failed: %s: %s" code msg
+          in
+          let obj name o =
+            match J.member name o with
+            | Some (J.Assoc _ as a) -> a
+            | _ -> Alcotest.failf "metrics: missing object %s" name
+          in
+          let has name o =
+            if J.member name o = None then
+              Alcotest.failf "metrics: missing field %s" name
+          in
+          Alcotest.(check (option string))
+            "schema" (Some "lowpart-metrics/1")
+            (J.string_field v "schema");
+          List.iter
+            (fun n -> has n v)
+            [ "pid"; "uptime_s"; "workers"; "stage_seconds" ];
+          List.iter
+            (fun n -> has n (obj "queue" v))
+            [ "depth"; "high_water"; "bound" ];
+          List.iter
+            (fun n -> has n (obj "latency_ms" v))
+            [
+              "buckets_ms"; "counts"; "count"; "sum_ms"; "max_ms"; "p50_ms";
+              "p95_ms"; "p99_ms";
+            ];
+          List.iter
+            (fun n -> has n (obj "memo" v))
+            [ "hits"; "misses"; "hit_rate"; "disk_hits"; "disk_entries" ];
+          (* The run before the scrape is counted. *)
+          let ok =
+            Option.value ~default:0 (J.int_field (obj "outcomes" v) "ok")
+          in
+          if ok < 1 then Alcotest.failf "outcomes lost the run (ok=%d)" ok))
+
+(* Past the admission bound the rejection carries a backoff hint. *)
+let test_overloaded_retry_hint () =
+  with_server ~queue_bound:0 (fun socket ->
+      with_client socket (fun c ->
+          let resp = Client.rpc c run_request in
+          expect_code "bound 0 rejects compute" "overloaded" resp;
+          match
+            Option.bind resp.Protocol.resp_error (fun err ->
+                J.int_field err "retry_after_ms")
+          with
+          | Some ms ->
+              Alcotest.(check bool) "retry_after_ms >= 1" true (ms >= 1)
+          | None -> Alcotest.fail "overloaded without retry_after_ms"))
+
+(* A client that never sends a newline cannot grow the daemon's memory
+   without bound: past 1 MiB it gets one parse envelope and its
+   connection is closed, and other clients are still served. *)
+let test_line_cap () =
+  let expected = Lazy.force expected_run_payload in
+  with_server (fun socket ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          (* A daemon that keeps buffering fails the read, not the run. *)
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+          let junk = Bytes.make ((1 lsl 20) + 1) 'x' in
+          let rec write off =
+            if off < Bytes.length junk then
+              write (off + Unix.write fd junk off (Bytes.length junk - off))
+          in
+          write 0;
+          let ic = Unix.in_channel_of_descr fd in
+          (match input_line ic with
+          | line ->
+              expect_code "over-long line" "parse"
+                (Result.get_ok (Protocol.parse_response (J.of_string line)))
+          | exception End_of_file ->
+              Alcotest.fail "connection closed without an envelope");
+          Alcotest.(check bool)
+            "connection closed after the envelope" true
+            (match input_line ic with
+            | _ -> false
+            | exception End_of_file -> true));
+      with_client socket (fun c ->
+          Alcotest.(check string)
+            "second client served" expected
+            (payload_string (Client.rpc c run_request));
+          Alcotest.(check int)
+            "the rejected line is counted" 1
+            (stats_int (Client.rpc c Protocol.Stats) "requests" "errors")))
+
 let test_shutdown_request () =
   let socket = fresh_path ".sock" in
   let config =
@@ -646,6 +845,8 @@ let () =
         [
           Alcotest.test_case "run byte-identical" `Quick
             test_run_byte_identical;
+          Alcotest.test_case "run payload with a string id" `Quick
+            test_run_payload_string_id;
           Alcotest.test_case "generated specs over the wire" `Quick
             test_gen_specs;
           Alcotest.test_case "explore request" `Quick test_explore_request;
@@ -657,11 +858,16 @@ let () =
           Alcotest.test_case "stats stages" `Quick test_stats_stages;
           Alcotest.test_case "timeout frees the worker" `Quick
             test_timeout_frees_worker;
+          Alcotest.test_case "streamed stage events" `Quick test_streaming;
+          Alcotest.test_case "metrics schema" `Quick test_metrics_schema;
+          Alcotest.test_case "overloaded retry hint" `Quick
+            test_overloaded_retry_hint;
         ] );
       ( "resilience",
         [
           Alcotest.test_case "persistent cache" `Quick test_persistent_cache;
           Alcotest.test_case "mid-run disconnect" `Quick
             test_disconnect_mid_run;
+          Alcotest.test_case "over-long request line" `Quick test_line_cap;
         ] );
     ]
