@@ -24,15 +24,14 @@
 
     {2 Persistence}
 
-    With {!set_persist_dir} the cache additionally spills to disk: one
-    file per entry under [dir/v{!format_version}], written atomically
-    (unique temp file + rename), read back on a memory miss. A
-    restarted process — the [lowpart serve] daemon in particular —
-    keeps its warm cache across runs. Corrupt, truncated or
-    foreign-version entries are silently treated as misses (and
-    deleted), never as errors; concurrent writers racing on one key
-    publish whole files and overwrite each other harmlessly, exactly
-    like the in-memory table. *)
+    With {!set_persist_dir} the cache additionally spills to a {!Store}
+    (one checksummed file per entry under [dir/v{!format_version}]),
+    read back on a memory miss. A restarted process — the [lowpart
+    serve] daemon in particular — keeps its warm cache across runs.
+    Corrupt, truncated or foreign-version entries are treated as misses
+    (and deleted), never as errors or wrong values; concurrent writers
+    racing on one key publish whole files and overwrite each other
+    harmlessly, exactly like the in-memory table. *)
 
 type stats = {
   hits : int;  (** memory + disk hits *)
@@ -119,8 +118,8 @@ val reset : unit -> unit
     a reset followed by a re-run models a daemon restart. *)
 
 val format_version : int
-(** Version of the on-disk entry format; bumping it orphans (but does
-    not delete) every older [v<N>] directory. *)
+(** Version of the on-disk entry format (the {!Store} version); bumping
+    it orphans (but does not delete) every older [v<N>] directory. *)
 
 val set_persist_dir : string option -> unit
 (** Enable ([Some root]) or disable ([None]) the disk tier. The

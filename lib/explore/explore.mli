@@ -29,13 +29,13 @@
     {2 Checkpoints}
 
     With [~journal_dir] every completed point is checkpointed to a
-    versioned on-disk journal (one file per point, written with the
-    same atomic temp-file + rename discipline as the {!Lp_core.Memo}
-    persistent tier). A killed exploration re-run with the same
-    arguments replays finished points from the journal without
-    re-evaluating them — including mid-trajectory points of an adaptive
-    search, whose proposals depend only on the PRNG and the (replayed)
-    observations. *)
+    journal: a {!Lp_core.Store} (one checksummed file per point) scoped
+    by application, program, base configuration and scheduler. A
+    damaged checkpoint is a miss and is re-evaluated. A killed
+    exploration re-run with the same arguments replays finished points
+    from the journal without re-evaluating them — including
+    mid-trajectory points of an adaptive search, whose proposals depend
+    only on the PRNG and the (replayed) observations. *)
 
 (** One concrete assignment of every explored dimension. [rset],
     [config] and [platform] name an alternative of the space's
@@ -210,5 +210,6 @@ val to_json : result -> Lp_json.t
     service's [explore] response both emit exactly this value. *)
 
 val journal_format_version : int
-(** Version of the on-disk journal entry format; bumping it orphans
-    (but does not delete) every older [v<N>] directory. *)
+(** Version of the on-disk journal entry format (the {!Lp_core.Store}
+    version); bumping it orphans (but does not delete) every older
+    [v<N>] directory. *)

@@ -30,9 +30,6 @@ val record_latency_ms : t -> float -> unit
 val observe_queue : t -> int -> unit
 (** Feed the current admission-queue depth into the high-water mark. *)
 
-val bucket_bounds_ms : float array
-(** Upper bucket bounds (ms); one extra overflow bucket follows. *)
-
 val outcomes_json : t -> Lp_json.t
 val queue_json : t -> depth:int -> bound:int -> Lp_json.t
 val latency_json : t -> Lp_json.t

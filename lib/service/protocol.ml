@@ -439,9 +439,6 @@ let error_response_data ~id ~code ~message ~data =
       );
     ]
 
-let error_response ~id ~code ~message =
-  error_response_data ~id ~code ~message ~data:[]
-
 (* --- streamed events ----------------------------------------------- *)
 
 let stage_event ~id ~seq ~stage ~dt_s =

@@ -184,7 +184,6 @@ val request_to_json : ?id:Lp_json.t -> request -> Lp_json.t
     [options] are emitted. *)
 
 val ok_response : id:Lp_json.t -> cmd:string -> Lp_json.t -> Lp_json.t
-val error_response : id:Lp_json.t -> code:string -> message:string -> Lp_json.t
 
 val error_response_data :
   id:Lp_json.t ->
@@ -192,8 +191,9 @@ val error_response_data :
   message:string ->
   data:(string * Lp_json.t) list ->
   Lp_json.t
-(** {!error_response} with extra structured fields inside the [error]
-    object — [overloaded] rejections carry [retry_after_ms] (an
+(** An error envelope [{"id", "ok": false, "error": {"code",
+    "message", ...data}}]; [data] adds structured fields inside the
+    [error] object — [overloaded] rejections carry [retry_after_ms] (an
     EWMA-based backoff hint) this way. *)
 
 val stage_event :

@@ -132,3 +132,17 @@ let program_arbitrary = QCheck.make ~print:print_program program_gen
 
 let check_outputs what ~expected ~actual =
   Alcotest.(check (list int)) what expected actual
+
+let temp_dir prefix =
+  let d = Filename.temp_file prefix "" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  d
+
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()

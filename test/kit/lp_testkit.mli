@@ -31,3 +31,11 @@ val program_arbitrary : Lp_ir.Ast.program QCheck.arbitrary
 
 val check_outputs : string -> expected:int list -> actual:int list -> unit
 (** Alcotest assertion on observable-output lists. *)
+
+val temp_dir : string -> string
+(** A fresh, empty directory in the system temp dir whose name starts
+    with the given prefix. *)
+
+val rm_rf : string -> unit
+(** Remove a file or a directory tree; a missing path is not an error.
+    Symlinks are removed, not followed. *)

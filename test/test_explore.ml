@@ -204,27 +204,14 @@ let test_memo_shared_across_explorations () =
   Alcotest.(check bool) "re-exploration hits the memo" true
     (s2.Memo.hits > s1.Memo.hits)
 
-let temp_dir prefix =
-  let d = Filename.temp_file prefix "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 (* Kill/resume: a journal written by a partial ("killed") exploration
    feeds a later full one, which re-evaluates only the genuinely new
    points; an identical re-run evaluates zero. *)
 let test_journal_resume () =
   let program = fixture_program () in
-  let journal_dir = temp_dir "lp-explore-test" in
+  let journal_dir = Lp_testkit.temp_dir "lp-explore-test" in
   Fun.protect
-    ~finally:(fun () -> rm_rf journal_dir)
+    ~finally:(fun () -> Lp_testkit.rm_rf journal_dir)
     (fun () ->
       let subset = { small_space with E.f_values = [ 1.0 ] } in
       let partial =
@@ -260,9 +247,9 @@ let test_journal_resume () =
 (* A torn checkpoint (truncated write) is a miss, never an error. *)
 let test_journal_corruption_is_a_miss () =
   let program = fixture_program () in
-  let journal_dir = temp_dir "lp-explore-corrupt" in
+  let journal_dir = Lp_testkit.temp_dir "lp-explore-corrupt" in
   Fun.protect
-    ~finally:(fun () -> rm_rf journal_dir)
+    ~finally:(fun () -> Lp_testkit.rm_rf journal_dir)
     (fun () ->
       let subset = { small_space with E.f_values = [ 1.0 ] } in
       let _ = E.run ~space:subset ~jobs:1 ~journal_dir ~name:"fix" program in
@@ -289,9 +276,9 @@ let test_journal_corruption_is_a_miss () =
    only the rest. *)
 let test_cancellation_keeps_journal () =
   let program = fixture_program () in
-  let journal_dir = temp_dir "lp-explore-cancel" in
+  let journal_dir = Lp_testkit.temp_dir "lp-explore-cancel" in
   Fun.protect
-    ~finally:(fun () -> rm_rf journal_dir)
+    ~finally:(fun () -> Lp_testkit.rm_rf journal_dir)
     (fun () ->
       let cancel = Lp_parallel.Cancel.create () in
       (* One grid point per batch; the token fires once the second
@@ -423,9 +410,9 @@ let test_platform_fingerprint_pin () =
    would hand back wrong metrics), while its own checkpoints replay. *)
 let test_journal_platform_scope () =
   let program = fixture_program () in
-  let journal_dir = temp_dir "lp-explore-platform" in
+  let journal_dir = Lp_testkit.temp_dir "lp-explore-platform" in
   Fun.protect
-    ~finally:(fun () -> rm_rf journal_dir)
+    ~finally:(fun () -> Lp_testkit.rm_rf journal_dir)
     (fun () ->
       let subset = { small_space with E.f_values = [ 1.0 ] } in
       let r1 =

@@ -279,6 +279,23 @@ let test_memo_restamps_transfer_energy () =
       Alcotest.(check (float 0.0)) "restamped" 5e-5 c.Candidate.e_trans_j
   | None -> Alcotest.fail "fixture cluster must evaluate to a candidate"
 
+(* The key is structural, so a hit can come from another cluster with
+   the same statements and profile: another program, or an identical
+   loop elsewhere in this one. The hit must carry the caller's cluster
+   (its chain position), not the one that was evaluated first. *)
+let test_memo_restamps_cluster () =
+  let profile, cluster = eval_fixture () in
+  let rset = Lp_tech.Resource_set.medium_dsp in
+  let elsewhere = { cluster with Cluster.cid = cluster.Cluster.cid + 7 } in
+  Memo.reset ();
+  let _ = Memo.evaluate ~profile ~e_trans_j:0.0 cluster rset in
+  match Memo.evaluate ~profile ~e_trans_j:0.0 elsewhere rset with
+  | Some c ->
+      Alcotest.(check int) "served from cache" 1 (Memo.stats ()).Memo.hits;
+      Alcotest.(check int) "caller's cluster" elsewhere.Cluster.cid
+        c.Candidate.cluster.Cluster.cid
+  | None -> Alcotest.fail "fixture cluster must evaluate to a candidate"
+
 let test_memo_key_sensitivity () =
   let profile, cluster = eval_fixture () in
   Memo.reset ();
@@ -338,6 +355,8 @@ let () =
           Alcotest.test_case "second evaluate hits" `Quick test_memo_hit;
           Alcotest.test_case "transfer energy restamped" `Quick
             test_memo_restamps_transfer_energy;
+          Alcotest.test_case "cluster restamped" `Quick
+            test_memo_restamps_cluster;
           Alcotest.test_case "key sensitivity" `Quick test_memo_key_sensitivity;
         ] );
     ]

@@ -20,14 +20,6 @@ let fresh_path =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "lp-svc-%d-%d%s" (Unix.getpid ()) !ctr suffix)
 
-let rec rm_rf path =
-  match (Unix.lstat path).Unix.st_kind with
-  | Unix.S_DIR ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
 let with_server ?cache_dir ?(workers = 2) ?(queue_bound = 64)
     ?(timeout_s = 300.0) f =
   let socket = fresh_path ".sock" in
@@ -291,7 +283,7 @@ let test_concurrent_clients () =
 let test_persistent_cache () =
   let cache = fresh_path ".cache" in
   Fun.protect
-    ~finally:(fun () -> rm_rf cache)
+    ~finally:(fun () -> Lp_testkit.rm_rf cache)
     (fun () ->
       let expected = Lazy.force expected_run_payload in
       (* Cold daemon: computes and populates the disk tier. *)
