@@ -2,9 +2,10 @@
 
     Each entry pins one [(class, seed)] workload: its structural
     {!Lp_gen.Gen.fingerprint}, its statement count and its ISS trace
-    length. {!verify} regenerates every entry from scratch and diffs —
-    tier-1 runs it, so a generator change that silently alters any
-    tracked workload fails the build (DESIGN.md §14). *)
+    length. {!verify} regenerates every entry from scratch and diffs;
+    test/test_gen.ml runs it on the committed manifest, so a generator
+    change that silently alters any tracked workload fails tier-1
+    (DESIGN.md §14). *)
 
 type entry = {
   spec : string;  (** the [gen:<class>:<seed>] app name *)

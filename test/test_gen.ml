@@ -14,11 +14,15 @@
    Two corpus fingerprints are additionally golden-pinned here,
    independently of bench/corpus.json: if the generator's stream ever
    shifts, this test names the contract being broken even when someone
-   "helpfully" regenerates the manifest in the same change. *)
+   "helpfully" regenerates the manifest in the same change.
+
+   The tracked manifest itself (bench/corpus.json) is re-verified entry
+   by entry, and its JSON form round-trips. *)
 
 module Gen = Lp_gen.Gen
 module Flow = Lp_core.Flow
 module Memo = Lp_core.Memo
+module Corpus = Lp_bench.Corpus
 
 let paper = Option.get (Gen.find_class "paper")
 
@@ -78,29 +82,52 @@ let qcheck_deterministic =
            (Memo.initial_fingerprint
               ~config:Lp_system.System.default_config b))
 
+(* The paper apps fan out at most 20 (cluster x resource set) pairs,
+   below [Flow.pool_threshold], so only generated workloads reach the
+   pool path with default options. With n_max = clusters, gen:paper
+   fans out 40 pairs and gen:deep 64; any -j must partition exactly as
+   -j 1 does. *)
 let jobs_levels_agree () =
-  let program = Gen.generate paper ~seed:7 in
-  let run jobs =
-    Memo.reset ();
-    Flow.run
-      ~options:{ (flow_options paper) with Flow.jobs }
-      ~name:"gen:paper:7" program
-  in
-  let r1 = run 1 in
-  let r2 = run 4 in
-  Alcotest.(check (float 1e-12))
-    "energy saving identical at -j 1 and -j 4" r1.Flow.energy_saving
-    r2.Flow.energy_saving;
-  Alcotest.(check int)
-    "same clusters selected"
-    (List.length r1.Flow.selected)
-    (List.length r2.Flow.selected);
-  Alcotest.(check string)
-    "Memo program fingerprint independent of jobs"
-    (Memo.initial_fingerprint ~config:Lp_system.System.default_config
-       r1.Flow.program)
-    (Memo.initial_fingerprint ~config:Lp_system.System.default_config
-       r2.Flow.program)
+  List.iter
+    (fun (name, jobs) ->
+      let spec, seed = Result.get_ok (Gen.parse_name name) in
+      let program = Gen.generate spec ~seed in
+      let options = flow_options spec in
+      let run jobs =
+        Memo.reset ();
+        Flow.run ~options:{ options with Flow.jobs } ~name program
+      in
+      let r1 = run 1 and rj = run jobs in
+      let what fmt = Printf.sprintf ("%s -j %d: " ^^ fmt) name jobs in
+      let pairs =
+        List.length r1.Flow.preselected
+        * List.length options.Flow.resource_sets
+      in
+      Alcotest.(check bool)
+        (what "%d pairs reach the pool threshold" pairs)
+        true
+        (pairs >= Flow.pool_threshold);
+      let cids (r : Flow.result) =
+        List.map
+          (fun s ->
+            s.Flow.candidate.Lp_core.Candidate.cluster.Lp_cluster.Cluster.cid)
+          r.Flow.selected
+      in
+      Alcotest.(check (list int)) (what "selected cids") (cids r1) (cids rj);
+      Alcotest.(check int) (what "cells") r1.Flow.total_cells
+        rj.Flow.total_cells;
+      Alcotest.(check (float 0.0))
+        (what "energy saving") r1.Flow.energy_saving rj.Flow.energy_saving;
+      Alcotest.(check (float 0.0))
+        (what "time change") r1.Flow.time_change rj.Flow.time_change;
+      Alcotest.(check string)
+        (what "Memo program fingerprint independent of jobs")
+        (Memo.initial_fingerprint ~config:Lp_system.System.default_config
+           r1.Flow.program)
+        (Memo.initial_fingerprint ~config:Lp_system.System.default_config
+           rj.Flow.program))
+    [ ("gen:paper:7", 4); ("gen:paper:1", 2); ("gen:deep:1", 2) ];
+  Memo.reset ()
 
 (* --- golden pins -------------------------------------------------- *)
 
@@ -116,6 +143,56 @@ let golden_pins () =
       ("paper", 1, "6585774178f80b83009006ac6c2fa92c");
       ("deep", 1, "7cd424d883ddc689d78e21f7b6e00a91");
     ]
+
+(* --- the tracked corpus --------------------------------------------- *)
+
+(* Under [dune runtest] the cwd is the test directory and the dune dep
+   puts the manifest in ../bench. *)
+let corpus_verifies () =
+  let path =
+    if Sys.file_exists "../bench/corpus.json" then "../bench/corpus.json"
+    else "bench/corpus.json"
+  in
+  match Corpus.load path with
+  | Error msg -> Alcotest.failf "%s: %s" path msg
+  | Ok entries ->
+      Alcotest.(check int) "one entry per tracked pair"
+        (List.length Corpus.default_pairs)
+        (List.length entries);
+      Alcotest.(check (list string))
+        "regenerated entries match the manifest (after a deliberate \
+         generator change: bench/main.exe corpus --write)"
+        [] (Corpus.verify entries)
+
+let corpus_roundtrip () =
+  let e =
+    {
+      Corpus.spec = "gen:paper:1";
+      class_name = "paper";
+      seed = 1;
+      fingerprint = "deadbeef";
+      stmts = 81;
+      trace_instrs = 39031;
+    }
+  in
+  (match
+     Corpus.of_json
+       (Corpus.manifest_json [ e; { e with seed = 2; spec = "gen:paper:2" } ])
+   with
+  | Ok [ a; b ] ->
+      Alcotest.(check string) "spec" "gen:paper:1" a.Corpus.spec;
+      Alcotest.(check string) "fingerprint" "deadbeef" a.Corpus.fingerprint;
+      Alcotest.(check int) "trace" 39031 a.Corpus.trace_instrs;
+      Alcotest.(check int) "seed 2" 2 b.Corpus.seed
+  | Ok _ -> Alcotest.fail "wrong entry count"
+  | Error msg -> Alcotest.failf "round-trip failed: %s" msg);
+  let rejects doc what =
+    match Result.bind (Lp_json.parse doc) Corpus.of_json with
+    | Ok _ -> Alcotest.failf "%s must not load" what
+    | Error _ -> ()
+  in
+  rejects {|{"schema":"nope/9","entries":[]}|} "unknown schema";
+  rejects {|{"entries":[]}|} "missing schema"
 
 (* --- spec names --------------------------------------------------- *)
 
@@ -164,6 +241,12 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_deterministic;
           Alcotest.test_case "-j levels agree" `Quick jobs_levels_agree;
           Alcotest.test_case "golden corpus fingerprints" `Quick golden_pins;
+        ] );
+      ( "corpus",
+        [
+          Alcotest.test_case "bench/corpus.json verifies" `Quick
+            corpus_verifies;
+          Alcotest.test_case "manifest round-trip" `Quick corpus_roundtrip;
         ] );
       ( "names",
         [

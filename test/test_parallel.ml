@@ -266,6 +266,29 @@ let test_memo_hit () =
         a.Candidate.e_trans_j b.Candidate.e_trans_j
   | _ -> Alcotest.fail "fixture cluster must evaluate to a candidate"
 
+(* The objective factor F is not part of the candidate key, so the E3
+   F-sweep over the six apps evaluates every candidate once: from the
+   second sweep point on, every lookup hits. *)
+let test_memo_f_sweep () =
+  Memo.reset ();
+  let misses_at f =
+    let before = (Memo.stats ()).Memo.misses in
+    List.iter
+      (fun (e : Apps.entry) ->
+        let options = { Flow.default_options with Flow.jobs = 1; f } in
+        ignore (Flow.run ~options ~name:e.Apps.name (e.Apps.build ())))
+      Apps.all;
+    (Memo.stats ()).Memo.misses - before
+  in
+  let first = misses_at 0.5 in
+  Alcotest.(check bool) "the first point evaluates" true (first > 0);
+  List.iter
+    (fun f ->
+      Alcotest.(check int) (Printf.sprintf "no new misses at F = %g" f) 0
+        (misses_at f))
+    [ 1.0; 2.0; 4.0; 8.0 ];
+  Memo.reset ()
+
 let test_memo_restamps_transfer_energy () =
   (* e_trans_j is not part of the key; a hit carries the caller's
      value. *)
@@ -358,5 +381,7 @@ let () =
           Alcotest.test_case "cluster restamped" `Quick
             test_memo_restamps_cluster;
           Alcotest.test_case "key sensitivity" `Quick test_memo_key_sensitivity;
+          Alcotest.test_case "F sweep hits from its second point" `Quick
+            test_memo_f_sweep;
         ] );
     ]
